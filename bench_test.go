@@ -261,7 +261,10 @@ func BenchmarkAblationLazyVsDense(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	info := m.ComputeBounds()
+	info, err := m.ComputeBounds(context.Background())
+	if err != nil {
+		b.Fatal(err)
+	}
 	g, bounds := m.AreaGraph(info)
 
 	b.Run("dense-WD", func(b *testing.B) {
@@ -282,15 +285,37 @@ func BenchmarkAblationLazyVsDense(b *testing.B) {
 
 // BenchmarkBoundsComputation measures step 2 (maximal backward/forward
 // retiming) alone — the paper reports it as a few percent of total runtime.
+// C6 is the register-dominated suite circuit; the pipe sub-benchmarks are
+// 32-wide gen.ScalePipeline circuits of growing depth, whose number of
+// possible steps grows with depth², so one run shows bounds time against
+// depth.
 func BenchmarkBoundsComputation(b *testing.B) {
-	c := genCircuit(b, 6) // register-dominated: worst case for bounds
-	mapped := mapBaseline(b, c)
-	m, err := mcgraph.Build(mapped)
-	if err != nil {
-		b.Fatal(err)
+	run := func(b *testing.B, c *netlist.Circuit) {
+		m, err := mcgraph.Build(c)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ctx := context.Background()
+		b.ReportAllocs()
+		b.ResetTimer()
+		var info *mcgraph.BoundsInfo
+		for i := 0; i < b.N; i++ {
+			if info, err = m.ComputeBounds(ctx); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(info.StepsPossible), "steps")
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.ComputeBounds()
+	b.Run("C6", func(b *testing.B) {
+		run(b, mapBaseline(b, genCircuit(b, 6))) // register-dominated: worst case in the suite
+	})
+	for _, stages := range []int{150, 300, 600} {
+		b.Run(fmt.Sprintf("pipe32x%d", stages), func(b *testing.B) {
+			c, err := gen.ScalePipeline(1, 32, stages, gen.ClassMix{Plain: 1, EN: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			run(b, c)
+		})
 	}
 }

@@ -18,8 +18,9 @@ type FlowOptions struct {
 	// DecomposeEN decomposes load enables before mapping — the Table 3
 	// baseline. Leave false for multiple-class retiming proper.
 	DecomposeEN bool
-	// Retime configures the retiming step (zero value = minarea at best
-	// period, all paper mechanisms on).
+	// Retime configures the retiming step (zero value = minimum period only,
+	// no minarea step, all paper mechanisms on; set Retime.Objective to
+	// MinAreaAtMinPeriod for minimal area at the best period).
 	Retime Options
 	// Trace, when non-nil, receives the retiming step's spans and counters
 	// (it overrides Retime.Trace). The mapping phases are not traced.

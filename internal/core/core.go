@@ -34,8 +34,10 @@ import (
 // Objective selects what Retime optimizes.
 type Objective int
 
-// Objectives. MinAreaAtMinPeriod is the paper's "minimal area for best
-// delay" used throughout its results.
+// Objectives. MinPeriod, the zero value, only minimizes the clock period
+// and skips the minarea step. MinAreaAtMinPeriod is the paper's "minimal
+// area for best delay" used throughout its results, and what the CLI and
+// the daemon ask for; callers that want it must set it explicitly.
 const (
 	MinPeriod Objective = iota
 	MinAreaAtMinPeriod
@@ -110,8 +112,10 @@ func ParseEngine(s string) (SolveEngine, error) {
 	return EngineAuto, fmt.Errorf("core: unknown engine %q (want auto, sparse, dense or arrival)", s)
 }
 
-// Options configures Retime. The zero value asks for minimum area at the
-// minimum feasible period with all paper mechanisms enabled.
+// Options configures Retime. The zero value asks for the minimum feasible
+// period (Objective MinPeriod, no minarea step) with all paper mechanisms
+// enabled; set Objective to MinAreaAtMinPeriod for the paper's minimum area
+// at the minimum period.
 type Options struct {
 	Objective    Objective
 	TargetPeriod int64 // picoseconds; used by MinAreaAtPeriod
@@ -149,11 +153,10 @@ type Options struct {
 	ColdProbes bool
 
 	// Parallelism is the worker count of the engine's parallel stages: W/D
-	// rows, the two maximal-retiming bounds sweeps, the separation-vertex
-	// analysis, the period-cut trace-back, and the per-domain justification
-	// solves. 0 means GOMAXPROCS; 1 forces the serial engine. The result is
-	// bit-identical at every setting — parallel stages write index-owned
-	// slots or disjoint state only.
+	// rows, the separation-vertex analysis, the period-cut trace-back, and
+	// the per-domain justification solves. 0 means GOMAXPROCS; 1 forces the
+	// serial engine. The result is bit-identical at every setting — parallel
+	// stages write index-owned slots or disjoint state only.
 	Parallelism int
 
 	// CheckInvariants runs the internal/check invariant checker after every

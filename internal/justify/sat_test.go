@@ -1,6 +1,7 @@
 package justify
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -123,7 +124,10 @@ func TestEnginesAgreeOnRandomCircuits(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			info := m.ComputeBounds()
+			info, err := m.ComputeBounds(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
 			r := make([]int32, len(m.Verts))
 			for v := range m.Verts {
 				if info.RMax[v] > 0 {

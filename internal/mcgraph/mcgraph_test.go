@@ -157,7 +157,7 @@ func TestBoundsSimpleChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	info := m.ComputeBounds()
+	info := mustBounds(t, m)
 	g1 := m.vertexOfGate[netlist.GateID(0)]
 	g2 := m.vertexOfGate[netlist.GateID(1)]
 	// One register layer sits on each side: each gate can pass the r1 layer
@@ -192,7 +192,7 @@ func TestBoundsBlockedByClassBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	info := m.ComputeBounds()
+	info := mustBounds(t, m)
 	gv := m.vertexOfGate[netlist.GateID(0)]
 	if info.RMax[gv] != 1 || info.RMin[gv] != -1 {
 		t.Errorf("g bounds = [%d,%d], want [-1,1]", info.RMin[gv], info.RMax[gv])
@@ -215,7 +215,7 @@ func TestUnboundedOnCompatibleCycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	info := m.ComputeBounds()
+	info := mustBounds(t, m)
 	g1 := m.vertexOfGate[netlist.GateID(0)]
 	// Forward rotation is unbounded (the layer circulates, piling registers
 	// onto the output edge); backward rotation is drained by the PO edge,
@@ -253,7 +253,7 @@ func TestControlNetFreezesDriver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	info := m.ComputeBounds()
+	info := mustBounds(t, m)
 	genc := m.vertexOfGate[netlist.GateID(0)]
 	if info.RMax[genc] != 0 || info.RMin[genc] != 0 {
 		t.Errorf("control driver bounds = [%d,%d], want [0,0]",
@@ -347,7 +347,7 @@ func TestAreaGraphWeightsConserved(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	info := m.ComputeBounds()
+	info := mustBounds(t, m)
 	g, gb := m.AreaGraph(info)
 	if len(gb.Min) != g.NumVertices() {
 		t.Fatalf("bounds cover %d of %d vertices", len(gb.Min), g.NumVertices())
@@ -383,7 +383,7 @@ func TestFig4SharingSeparation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	info := m.ComputeBounds()
+	info := mustBounds(t, m)
 	g, _ := m.AreaGraph(info)
 	if g.NumVertices() <= len(m.Verts) {
 		t.Error("no separation vertex inserted for mixed-class fanout")

@@ -86,7 +86,7 @@ func TestPropertyBoundsConsistent(t *testing.T) {
 		if err != nil {
 			t.Fatalf("iter %d: %v", iter, err)
 		}
-		info := m.ComputeBounds()
+		info := mustBounds(t, m)
 		for v := range m.Verts {
 			if info.RMax[v] < 0 || info.RMin[v] > 0 {
 				t.Fatalf("iter %d: vertex %d bounds [%d,%d] cross zero",
@@ -117,7 +117,7 @@ func TestPropertyBoundedRetimingsImplementable(t *testing.T) {
 		if err != nil {
 			t.Fatalf("iter %d: %v", iter, err)
 		}
-		info := m.ComputeBounds()
+		info := mustBounds(t, m)
 		g := m.ToGraph()
 		gb := info.GraphBounds(m)
 
@@ -231,7 +231,7 @@ func TestPropertyProjectionWeightConservation(t *testing.T) {
 		if err != nil {
 			t.Fatalf("iter %d: %v", iter, err)
 		}
-		info := m.ComputeBounds()
+		info := mustBounds(t, m)
 		want := int64(m.NumRegInstances())
 		if got := m.ToGraph().TotalWeight(nil); got != want {
 			t.Fatalf("iter %d: plain projection %d != %d", iter, got, want)

@@ -41,7 +41,7 @@ func (m *MC) AreaGraph(info *BoundsInfo) (*graph.Graph, *graph.Bounds) {
 
 // AreaGraphPar is AreaGraph with the per-multi-fanout-vertex layer-cut
 // analysis fanned out over a worker pool. Each vertex's analysis reads only
-// the backward-retimed clone and writes τ only for that vertex's own fanout
+// the backward class sequences and writes τ only for that vertex's own fanout
 // edges, so the writes are disjoint and the result is identical to the
 // serial sweep. Edge emission stays serial to keep vertex/edge numbering
 // deterministic.
@@ -119,49 +119,58 @@ func (m *MC) AreaGraphPar(ctx context.Context, info *BoundsInfo, workers int) (*
 }
 
 // cutFanout runs the §4.2 layer-cut analysis for one multi-fanout vertex v
-// on the backward-retimed clone bw, writing the non-sharable register counts
-// into tau at v's own out-edge indices only (safe for concurrent callers on
-// distinct vertices).
-func (m *MC) cutFanout(bw *MC, v int32, tau []int32) {
+// on the backward-retimed class sequences bw, writing the non-sharable
+// register counts into tau at v's own out-edge indices only (safe for
+// concurrent callers on distinct vertices).
+func (m *MC) cutFanout(bw [][]ClassID, v int32, tau []int32) {
+	type classCount struct {
+		cls ClassID
+		n   int
+	}
+	var buf [8]classCount
 	selected := append([]int32(nil), m.out[v]...)
-	for layer := 0; ; layer++ {
-		// Group the selected edges that still have a register at this
-		// layer by the register's class.
-		groups := make(map[ClassID][]int32)
+	// With one edge left nothing more can be cut.
+	for layer := 0; len(selected) > 1; layer++ {
+		// Count the selected edges that still have a register at this layer
+		// by the register's class; a layer holds only a few classes.
+		counts := buf[:0]
 		for _, ei := range selected {
-			regs := bw.Edges[ei].Regs
-			if layer < len(regs) {
-				groups[regs[layer].Class] = append(groups[regs[layer].Class], ei)
+			seq := bw[ei]
+			if layer >= len(seq) {
+				continue
 			}
+			i := 0
+			for i < len(counts) && counts[i].cls != seq[layer] {
+				i++
+			}
+			if i == len(counts) {
+				counts = append(counts, classCount{cls: seq[layer]})
+			}
+			counts[i].n++
 		}
-		if len(groups) == 0 {
+		if len(counts) == 0 {
 			return // all remaining edges fully consumed: fully sharable
 		}
-		var best ClassID
-		bestN := -1
-		for cls, es := range groups {
-			if len(es) > bestN || (len(es) == bestN && cls < best) {
-				best, bestN = cls, len(es)
+		best := counts[0]
+		for _, c := range counts[1:] {
+			if c.n > best.n || (c.n == best.n && c.cls < best.cls) {
+				best = c
 			}
 		}
-		// Everything selected but outside the winning group is cut at
-		// this layer; its remaining registers are non-sharable.
+		// Everything selected but outside the winning class is cut at this
+		// layer; its remaining registers are non-sharable. Consumed edges
+		// are sharable in full and drop out with the losers.
+		kept := selected[:0]
 		for _, ei := range selected {
-			regs := bw.Edges[ei].Regs
-			if layer >= len(regs) {
-				continue // consumed: sharable in full
-			}
-			inBest := false
-			for _, bi := range groups[best] {
-				if bi == ei {
-					inBest = true
-					break
-				}
-			}
-			if !inBest {
-				tau[ei] = int32(len(regs) - layer)
+			seq := bw[ei]
+			switch {
+			case layer >= len(seq):
+			case seq[layer] == best.cls:
+				kept = append(kept, ei)
+			default:
+				tau[ei] = int32(len(seq) - layer)
 			}
 		}
-		selected = groups[best]
+		selected = kept
 	}
 }

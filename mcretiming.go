@@ -127,7 +127,7 @@ type Objective = core.Objective
 
 // Objectives.
 const (
-	// MinPeriod minimizes the clock period.
+	// MinPeriod minimizes the clock period. It is the zero value.
 	MinPeriod = core.MinPeriod
 	// MinAreaAtMinPeriod minimizes registers at the minimum feasible period
 	// (the paper's "minimal area for best delay").
