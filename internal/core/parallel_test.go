@@ -35,8 +35,8 @@ func parallelismLevels() []int {
 // contract: the retimed circuit and every result column of the report must be
 // bit-identical at parallelism 1, 2, and GOMAXPROCS. Run with -race this is
 // also the concurrency stress test over the mapped internal/gen profiles —
-// all parallel stages (W/D rows, bounds sweeps, sharing analysis, period-cut
-// trace-back, justification domains) execute under the race detector.
+// all parallel stages (W/D rows, sharing analysis, period-cut trace-back,
+// justification domains) execute under the race detector.
 func TestRetimeParallelismDeterministic(t *testing.T) {
 	for _, c := range equivCircuits(t) {
 		c := c

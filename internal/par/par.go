@@ -151,8 +151,8 @@ func Run(ctx context.Context, workers, items int, fn func(worker, item int) erro
 
 // Do runs the given thunks concurrently on up to workers goroutines (inline
 // when workers ≤ 1) and returns the first error. It is the small-fan-out
-// companion to Run for stages with a fixed handful of independent halves —
-// the forward/backward bounds sweeps, the sync/async justification domains.
+// companion to Run for stages with a fixed handful of independent halves,
+// such as the sync/async justification domains.
 func Do(ctx context.Context, workers int, fns ...func() error) error {
 	_, err := Run(ctx, workers, len(fns), func(_, i int) error { return fns[i]() })
 	return err
